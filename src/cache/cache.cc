@@ -196,9 +196,9 @@ Cache::linesValid() const
 }
 
 void
-Cache::addStats(stats::Group& group) const
+CacheStats::addStats(stats::Group& group) const
 {
-    const CacheStats* s = &stats_;
+    const CacheStats* s = this;
     group.add("accesses", [s] { return double(s->accesses); });
     group.add("reads", [s] { return double(s->reads); });
     group.add("writes", [s] { return double(s->writes); });

@@ -63,6 +63,12 @@ struct CacheStats
     void reset() { *this = CacheStats(); }
 
     CacheStats& operator+=(const CacheStats& o);
+
+    /**
+     * Register these counters (as lazily evaluated formulas) into
+     * @p group; the group must not outlive this object.
+     */
+    void addStats(stats::Group& group) const;
 };
 
 /**
@@ -164,11 +170,8 @@ class Cache
     const CacheStats& stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 
-    /**
-     * Register this cache's counters (as lazily evaluated formulas) into
-     * @p group; the group must not outlive the cache.
-     */
-    void addStats(stats::Group& group) const;
+    /** Register this cache's counters into @p group (CacheStats). */
+    void addStats(stats::Group& group) const { stats_.addStats(group); }
 
   private:
     static constexpr std::uint8_t flagValid = 1;

@@ -10,7 +10,7 @@ namespace cosim {
 
 namespace {
 
-/** Chunk size when parallel mode is on and the user did not pick one. */
+/** Chunk size when the user did not pick one. */
 constexpr std::size_t kDefaultBatchTxns = 4096;
 
 } // namespace
@@ -22,18 +22,23 @@ CoSimulation::CoSimulation(const CoSimParams& params)
              "co-simulation requires cores that emit FSB traffic "
              "(set CpuParams::emitFsbTraffic)");
 
-    if (params.emulationThreads > 0 && !params.emulators.empty()) {
+    if (params.emulators.empty())
+        return;
+    const std::size_t chunk = params.fsbBatchTxns > 0 ? params.fsbBatchTxns
+                                                      : kDefaultBatchTxns;
+    // Batch the bus itself, so each emulator (or the bank) takes whole
+    // chunks through observeBatch() instead of a virtual call per
+    // transaction per snooper.
+    platform_.fsb().setBatchCapacity(chunk);
+
+    if (params.emulationThreads > 0) {
         EmulatorBankParams bp;
         bp.emulators = params.emulators;
         bp.nThreads = params.emulationThreads;
-        bp.chunkTxns = params.fsbBatchTxns > 0 ? params.fsbBatchTxns
-                                               : kDefaultBatchTxns;
+        bp.chunkTxns = chunk;
         bp.degradeToSerial = params.degradeToSerial;
         bank_ = std::make_unique<AsyncEmulatorBank>(bp);
         platform_.fsb().attach(bank_.get());
-        // Batch the bus itself so the bank receives whole chunks instead
-        // of paying a buffered copy per transaction.
-        platform_.fsb().setBatchCapacity(bp.chunkTxns);
         obs::HostProfiler::global().noteEmulationThreads(
             bank_->nThreads());
         return;
@@ -43,8 +48,6 @@ CoSimulation::CoSimulation(const CoSimParams& params)
         emulators_.push_back(std::make_unique<Dragonhead>(dh));
         platform_.fsb().attach(emulators_.back().get());
     }
-    if (params.fsbBatchTxns > 1)
-        platform_.fsb().setBatchCapacity(params.fsbBatchTxns);
 }
 
 CoSimulation::~CoSimulation()

@@ -1790,7 +1790,6 @@ runCellChild(const PlatformParams& platform,
                 params.emulators = emulators;
                 params.emulationThreads = opts.emuThreads;
                 params.degradeToSerial = opts.degradeSerial;
-                params.fsbBatchTxns = 4096;
                 CoSimulation rig(params);
                 rig.setHeartbeat(&beat);
                 cell = sampledWorkloadCell(rig, ws, name, platform,
@@ -1977,11 +1976,6 @@ runPerConfigCells(const BenchOptions& opts, const PlatformParams& platform,
         sampled_params.emulators = emulators;
         sampled_params.emulationThreads = opts.emuThreads;
         sampled_params.degradeToSerial = opts.degradeSerial;
-        // Broadcast delivery to every configuration is the cell's hot
-        // loop; batch the bus so each emulator takes whole chunks
-        // (Dragonhead::observeBatch) instead of a virtual call per
-        // transaction per snooper.
-        sampled_params.fsbBatchTxns = 4096;
         sampled_isolate =
             jobs > 1 || opts.keepGoing || opts.retryCells > 0;
         sampled_rigs.resize(sampled_isolate ? n_w : 1);

@@ -76,6 +76,19 @@ TEST_F(ParamValidation, DragonheadRejectsIndivisibleSlices)
     EXPECT_THROW(Dragonhead dh(p), std::runtime_error);
 }
 
+TEST_F(ParamValidation, DragonheadIsLruOnlyAndAtMost16Way)
+{
+    DragonheadParams p;
+    p.llc = {"llc", 4 * MiB, 64, 16, ReplPolicy::LRU};
+    EXPECT_NO_THROW(Dragonhead dh(p));
+
+    p.llc.repl = ReplPolicy::FIFO;
+    EXPECT_THROW(Dragonhead dh(p), std::runtime_error);
+
+    p.llc = {"llc", 4 * MiB, 64, 32, ReplPolicy::LRU};
+    EXPECT_THROW(Dragonhead dh(p), std::runtime_error);
+}
+
 TEST_F(ParamValidation, MessagePayloadMustFit40Bits)
 {
     EXPECT_THROW(msg::encodeAddr(msg::Type::InstRetired,
