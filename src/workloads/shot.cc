@@ -28,7 +28,7 @@ ShotParams::scaled(double scale)
     fatal_if(scale <= 0.0, "SHOT scale must be positive");
     ShotParams p;
     if (scale < 1.0) {
-        p.video.width = 360;
+        p.video.width = 352; // CIF: setUp needs 16-aligned rows
         p.video.height = 288;
         if (scale < 0.1) {
             p.video.width = 176;

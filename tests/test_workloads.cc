@@ -115,6 +115,21 @@ TEST_P(AllWorkloads, MemoryInstructionShareIsPlausible)
     EXPECT_GT(r.loads, r.stores) << GetParam();
 }
 
+TEST_P(AllWorkloads, SetUpSucceedsAtMidScales)
+{
+    // Every --scale in [0.1, 1) must build valid inputs, not only the
+    // --quick (0.05) and full (1.0) tiers.
+    for (double scale : {0.1, 0.5}) {
+        auto wl = createWorkload(GetParam(), scale);
+        SimAllocator alloc;
+        WorkloadConfig cfg;
+        cfg.nThreads = 4;
+        cfg.scale = scale;
+        wl->setUp(cfg, alloc);
+        EXPECT_GT(alloc.footprint(), 0u) << GetParam() << " at " << scale;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Catalog, AllWorkloads,
     ::testing::Values("SNP", "SVM-RFE", "MDS", "SHOT", "FIMI", "VIEWTYPE",
