@@ -107,6 +107,19 @@ TEST(BenchOptions, EnsureOutputDirCreates)
     rmdir(dir.c_str());
 }
 
+TEST(BenchOptions, EnsureOutputDirCreatesParents)
+{
+    const std::string root = ::testing::TempDir() + "cosim_outdir_nested";
+    const std::string dir = root + "/a/b/c";
+    ensureOutputDir(dir);
+    struct stat st{};
+    ASSERT_EQ(stat(dir.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISDIR(st.st_mode));
+    for (const std::string& d :
+         {dir, root + "/a/b", root + "/a", root})
+        rmdir(d.c_str());
+}
+
 TEST(SweepRunner, TinyEndToEndFigure)
 {
     // A miniature version of the Figure 4 path: 2 cores, the real LLC
