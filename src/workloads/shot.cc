@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <cstdlib>
 
 #include "base/logging.hh"
 
@@ -11,13 +9,11 @@ namespace cosim {
 
 namespace {
 
-/** 48-bin histogram index of a pixel: 16 bins per RGB channel. */
-inline void
-histBins(synth::Pixel p, unsigned& r, unsigned& g, unsigned& b)
+/** Frames per thread segment (the last segment may be shorter). */
+unsigned
+segmentFrames(unsigned frames, unsigned threads)
 {
-    r = synth::pixelR(p) >> 4;
-    g = 16 + (synth::pixelG(p) >> 4);
-    b = 32 + (synth::pixelB(p) >> 4);
+    return (frames + threads - 1) / threads;
 }
 
 } // namespace
@@ -47,7 +43,7 @@ class ShotTask : public ThreadTask
     ShotTask(ShotWorkload& wl, unsigned tid) : wl_(wl), tid_(tid)
     {
         unsigned total = wl_.params_.video.nFrames;
-        unsigned per = (total + wl_.nThreads_ - 1) / wl_.nThreads_;
+        unsigned per = segmentFrames(total, wl_.nThreads_);
         first_ = std::min(tid * per, total);
         last_ = std::min(first_ + per, total);
         frame_ = first_;
@@ -113,21 +109,9 @@ class ShotTask : public ThreadTask
             for (unsigned x = 0; x < v.width; ++x) {
                 synth::Pixel px = wl_.synth_->pixel(frame_, x, row_);
                 out[x] = px;
-                unsigned r, g, b;
-                histBins(px, r, g, b);
-                ++hist_[r];
-                ++hist_[g];
-                ++hist_[b];
-                if (prev != nullptr) {
-                    int dr = static_cast<int>(synth::pixelR(px)) -
-                             synth::pixelR(prev[x]);
-                    int dg = static_cast<int>(synth::pixelG(px)) -
-                             synth::pixelG(prev[x]);
-                    int db = static_cast<int>(synth::pixelB(px)) -
-                             synth::pixelB(prev[x]);
-                    pixelDiff_ += static_cast<std::uint64_t>(
-                        std::abs(dr) + std::abs(dg) + std::abs(db));
-                }
+                synth::countPixel(hist_.data(), px);
+                if (prev != nullptr)
+                    pixelDiff_ += synth::pixelDifference(px, prev[x]);
             }
             // Decode arithmetic + binning + difference math.
             ctx.compute(v.width * 5 / 3);
@@ -150,27 +134,10 @@ class ShotTask : public ThreadTask
 
         if (frame_ > first_) {
             const std::uint32_t* ph = buf.prevHist.readBlock(ctx, 0, 48);
-            std::uint64_t dist = 0;
-            std::uint64_t total = 0;
-            for (unsigned k = 0; k < 48; ++k) {
-                dist += static_cast<std::uint64_t>(
-                    std::abs(static_cast<long>(hist_[k]) -
-                             static_cast<long>(ph[k])));
-                total += hist_[k];
-            }
-            double hist_metric =
-                static_cast<double>(dist) / (2.0 * static_cast<double>(total));
-            double pix_metric =
-                static_cast<double>(pixelDiff_) /
-                (3.0 * 255.0 * static_cast<double>(v.width) * v.height);
             ctx.compute(48 * 3);
-
-            // A cut when either feature jumps (the pixel difference
-            // supplements the histogram, as in the paper).
-            if (hist_metric > wl_.params_.cutThreshold ||
-                pix_metric > 2.0 * wl_.params_.cutThreshold) {
+            if (synth::detectsCut(hist_.data(), ph, pixelDiff_, v.width,
+                                  v.height, wl_.params_.cutThreshold))
                 wl_.cutsPerThread_[tid_].push_back(frame_);
-            }
         }
 
         std::uint32_t* ph = buf.prevHist.writeBlock(ctx, 0, 48);
@@ -188,7 +155,7 @@ class ShotTask : public ThreadTask
     unsigned last_ = 0;
     unsigned frame_ = 0;
     std::size_t row_ = 0;
-    std::array<std::uint32_t, 48> hist_{};
+    std::array<std::uint32_t, synth::cutHistogramBins> hist_{};
     std::uint64_t pixelDiff_ = 0;
 };
 
@@ -206,6 +173,11 @@ ShotWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
     seed_ = cfg.seed;
     synth_ = std::make_unique<synth::FrameSynthesizer>(params_.video,
                                                        cfg.seed);
+    // A planted cut the detector misses would fail verify(): redraw
+    // such a shot before the guest ever sees it.
+    synth_->makeCutsDetectable(params_.cutThreshold,
+                               segmentFrames(params_.video.nFrames,
+                                             nThreads_));
 
     std::size_t pixels =
         static_cast<std::size_t>(params_.video.width) *
@@ -252,7 +224,7 @@ ShotWorkload::expectedCuts() const
     // A planted cut is detectable unless it is the first frame of its
     // thread's segment (no previous frame to compare against).
     unsigned total = params_.video.nFrames;
-    unsigned per = (total + nThreads_ - 1) / nThreads_;
+    unsigned per = segmentFrames(total, nThreads_);
     std::vector<unsigned> expected;
     for (unsigned f = 1; f < total; ++f) {
         if (f % params_.video.shotLength != 0)

@@ -242,6 +242,60 @@ TEST(Video, CutChangesHistogramMoreThanDrift)
     EXPECT_GT(dist(h2, h5), 4 * dist(h1, h2));
 }
 
+/** Whether SHOT's detector sees a cut between frames f-1 and f. */
+bool
+cutTrips(const synth::FrameSynthesizer& s, unsigned f, double threshold)
+{
+    const synth::VideoParams& vp = s.params();
+    std::uint32_t prev[synth::cutHistogramBins] = {};
+    std::uint32_t cur[synth::cutHistogramBins] = {};
+    std::uint64_t diff = 0;
+    for (unsigned y = 0; y < vp.height; ++y) {
+        for (unsigned x = 0; x < vp.width; ++x) {
+            synth::countPixel(prev, s.pixel(f - 1, x, y));
+            synth::countPixel(cur, s.pixel(f, x, y));
+            diff += synth::pixelDifference(s.pixel(f, x, y),
+                                           s.pixel(f - 1, x, y));
+        }
+    }
+    return synth::detectsCut(cur, prev, diff, vp.width, vp.height,
+                             threshold);
+}
+
+TEST(Video, MissedCutsAreRedrawnAndOthersKeepTheirPixels)
+{
+    // SHOT's --quick clip on eight cores: four-frame segments, and at
+    // seed 21 the planted cut at frame 10 fell below the threshold.
+    const synth::VideoParams vp{176, 144, 32, 5};
+    const double threshold = 0.30;
+    synth::FrameSynthesizer before(vp, 21);
+    EXPECT_FALSE(cutTrips(before, 10, threshold));
+
+    synth::FrameSynthesizer after(vp, 21);
+    after.makeCutsDetectable(threshold, 4);
+    for (unsigned f = vp.shotLength; f < vp.nFrames; f += vp.shotLength) {
+        if (f % 4 != 0) {
+            EXPECT_TRUE(cutTrips(after, f, threshold)) << "frame " << f;
+        }
+    }
+    // Only the shot that started at frame 10 changed.
+    for (unsigned f = 0; f < vp.nFrames; ++f) {
+        const bool redrawn = after.shotIndex(f) == 2;
+        EXPECT_EQ(before.pixel(f, 100, 20) == after.pixel(f, 100, 20),
+                  !redrawn)
+            << "frame " << f;
+    }
+
+    // Seed 42 trips every cut already: no pixel moves.
+    synth::FrameSynthesizer plain(vp, 42);
+    synth::FrameSynthesizer checked(vp, 42);
+    checked.makeCutsDetectable(threshold, 4);
+    for (unsigned f = 0; f < vp.nFrames; ++f)
+        for (unsigned y = 0; y < vp.height; y += 13)
+            for (unsigned x = 0; x < vp.width; x += 11)
+                ASSERT_EQ(plain.pixel(f, x, y), checked.pixel(f, x, y));
+}
+
 TEST(Video, HueMath)
 {
     // Pure green has hue ~85/256; red ~0; blue ~170.
