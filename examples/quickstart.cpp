@@ -54,7 +54,7 @@ main()
     std::printf("footprint       : %.1f MB simulated\n",
                 static_cast<double>(result.footprintBytes) / (1 << 20));
 
-    const Dragonhead& dh = cosim.emulator(0);
+    const LlcView& dh = cosim.emulator(0);
     LlcResults llc = dh.results();
     std::printf("\nDragonhead (16MB LLC, 64B lines, LRU, 4 CC slices)\n");
     std::printf("  LLC accesses  : %llu\n",

@@ -199,18 +199,27 @@ void
 CacheStats::addStats(stats::Group& group) const
 {
     const CacheStats* s = this;
-    group.add("accesses", [s] { return double(s->accesses); });
-    group.add("reads", [s] { return double(s->reads); });
-    group.add("writes", [s] { return double(s->writes); });
-    group.add("misses", [s] { return double(s->misses); });
-    group.add("read_misses", [s] { return double(s->readMisses); });
-    group.add("write_misses", [s] { return double(s->writeMisses); });
-    group.add("evictions", [s] { return double(s->evictions); });
-    group.add("writebacks", [s] { return double(s->writebacks); });
-    group.add("prefetch_fills", [s] { return double(s->prefetchFills); });
+    addStats(group, [s] { return *s; });
+}
+
+void
+CacheStats::addStats(stats::Group& group,
+                     const std::function<CacheStats()>& read)
+{
+    group.add("accesses", [read] { return double(read().accesses); });
+    group.add("reads", [read] { return double(read().reads); });
+    group.add("writes", [read] { return double(read().writes); });
+    group.add("misses", [read] { return double(read().misses); });
+    group.add("read_misses", [read] { return double(read().readMisses); });
+    group.add("write_misses",
+              [read] { return double(read().writeMisses); });
+    group.add("evictions", [read] { return double(read().evictions); });
+    group.add("writebacks", [read] { return double(read().writebacks); });
+    group.add("prefetch_fills",
+              [read] { return double(read().prefetchFills); });
     group.add("useful_prefetches",
-              [s] { return double(s->usefulPrefetches); });
-    group.add("miss_rate", [s] { return s->missRate(); });
+              [read] { return double(read().usefulPrefetches); });
+    group.add("miss_rate", [read] { return read().missRate(); });
 }
 
 } // namespace cosim

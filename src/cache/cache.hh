@@ -11,6 +11,7 @@
 #define COSIM_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +70,13 @@ struct CacheStats
      * @p group; the group must not outlive this object.
      */
     void addStats(stats::Group& group) const;
+
+    /**
+     * Register, under the same names, the counters that @p read returns
+     * at dump time (for counters that are composed, not stored).
+     */
+    static void addStats(stats::Group& group,
+                         const std::function<CacheStats()>& read);
 };
 
 /**

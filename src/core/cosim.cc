@@ -44,9 +44,11 @@ CoSimulation::CoSimulation(const CoSimParams& params)
         return;
     }
 
-    for (const DragonheadParams& dh : params.emulators) {
-        emulators_.push_back(std::make_unique<Dragonhead>(dh));
-        platform_.fsb().attach(emulators_.back().get());
+    emulators_ = makeLlcEmulators(params.emulators);
+    for (auto& unit : emulators_) {
+        platform_.fsb().attach(unit.get());
+        for (unsigned c = 0; c < unit->nConfigs(); ++c)
+            views_.push_back(&unit->config(c));
     }
 }
 
@@ -58,8 +60,8 @@ CoSimulation::~CoSimulation()
         return;
     }
     platform_.fsb().flush();
-    for (auto& dh : emulators_)
-        platform_.fsb().detach(dh.get());
+    for (auto& unit : emulators_)
+        platform_.fsb().detach(unit.get());
 }
 
 RunResult
@@ -67,8 +69,8 @@ CoSimulation::run(Workload& workload, const WorkloadConfig& cfg)
 {
     if (bank_)
         bank_->reset();
-    for (auto& dh : emulators_)
-        dh->reset();
+    for (auto& unit : emulators_)
+        unit->reset();
 
     RunResult result = platform_.run(workload, cfg);
 
@@ -93,8 +95,8 @@ CoSimulation::prepareReplay()
 {
     if (bank_)
         bank_->reset();
-    for (auto& dh : emulators_)
-        dh->reset();
+    for (auto& unit : emulators_)
+        unit->reset();
     platform_.fsb().resetStats();
 }
 
@@ -199,13 +201,13 @@ CoSimulation::replaySampledBuffer(
     return finishReplay(rr, "sampled:" + source, details);
 }
 
-const Dragonhead&
+const LlcView&
 CoSimulation::emulator(unsigned i) const
 {
     if (bank_)
         return bank_->emulator(i);
-    panic_if(i >= emulators_.size(), "emulator index %u out of range", i);
-    return *emulators_[i];
+    panic_if(i >= views_.size(), "emulator index %u out of range", i);
+    return *views_[i];
 }
 
 void

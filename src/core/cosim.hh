@@ -9,10 +9,15 @@
  * emulators with different LLC configurations evaluates a whole design
  * sweep in a single workload execution.
  *
+ * The configurations are emulated by the units makeLlcEmulators picks
+ * from the configuration set alone: one NestedLlc pass when the
+ * capacities nest (Figures 4-6), else one Dragonhead board each. Either
+ * way emulator(i) reads configuration i's results.
+ *
  * In both emulation modes the bus batches transactions into chunks
  * (CoSimParams::fsbBatchTxns):
  *
- *  - *Serial* (emulationThreads == 0, the default): every emulator is
+ *  - *Serial* (emulationThreads == 0, the default): every unit is
  *    attached to the bus directly and emulates each chunk inline on the
  *    workload's host thread.
  *  - *Parallel* (emulationThreads > 0): the emulators live in an
@@ -30,6 +35,7 @@
 
 #include "core/emulator_bank.hh"
 #include "dragonhead/dragonhead.hh"
+#include "dragonhead/nested_llc.hh"
 #include "softsdv/virtual_platform.hh"
 #include "trace/fsb_replay.hh"
 #include "trace/sampled_replay.hh"
@@ -43,8 +49,8 @@ struct CoSimParams
     std::vector<DragonheadParams> emulators;
 
     /**
-     * Host threads emulating Dragonheads; 0 = serial inline emulation.
-     * More threads than emulators is clamped (a worker per emulator).
+     * Host threads emulating; 0 = serial inline emulation. More
+     * threads than emulation units is clamped (a worker per unit).
      */
     unsigned emulationThreads = 0;
 
@@ -132,10 +138,11 @@ class CoSimulation
         ReplayResult* details = nullptr, bool warming = true,
         unsigned warm_stride = 1);
 
+    /** Emulated configurations. */
     unsigned nEmulators() const
     {
         return bank_ ? bank_->nEmulators()
-                     : static_cast<unsigned>(emulators_.size());
+                     : static_cast<unsigned>(views_.size());
     }
 
     /** Host worker threads emulating; 0 in serial mode. */
@@ -144,7 +151,8 @@ class CoSimulation
         return bank_ ? bank_->nThreads() : 0;
     }
 
-    const Dragonhead& emulator(unsigned i) const;
+    /** Results of configuration @p i, in CoSimParams::emulators order. */
+    const LlcView& emulator(unsigned i) const;
 
     /** The bank, or nullptr in serial mode (diagnostics/tests). */
     const AsyncEmulatorBank* bank() const { return bank_.get(); }
@@ -178,8 +186,10 @@ class CoSimulation
                            ReplayResult* details);
 
     VirtualPlatform platform_;
-    /** Serial mode: directly attached emulators. */
-    std::vector<std::unique_ptr<Dragonhead>> emulators_;
+    /** Serial mode: directly attached units, and each configuration's
+     * results. */
+    std::vector<std::unique_ptr<LlcEmulator>> emulators_;
+    std::vector<const LlcView*> views_;
     /** Parallel mode: emulators owned by the worker bank. */
     std::unique_ptr<AsyncEmulatorBank> bank_;
 };

@@ -18,20 +18,24 @@ AsyncEmulatorBank::AsyncEmulatorBank(const EmulatorBankParams& params)
     if (params_.queueChunks == 0)
         params_.queueChunks = 1;
 
-    const auto n_emus = static_cast<unsigned>(params_.emulators.size());
-    unsigned n_threads = params_.nThreads == 0 ? n_emus : params_.nThreads;
-    // More workers than emulators would just idle.
-    if (n_threads > n_emus)
-        n_threads = n_emus;
+    units_ = makeLlcEmulators(params_.emulators);
+    for (unsigned u = 0; u < units_.size(); ++u) {
+        for (unsigned c = 0; c < units_[u]->nConfigs(); ++c) {
+            views_.push_back(&units_[u]->config(c));
+            unitOf_.push_back(u);
+        }
+    }
+    const auto n_units = static_cast<unsigned>(units_.size());
+    unsigned n_threads = params_.nThreads == 0 ? n_units : params_.nThreads;
+    // More workers than units would just idle.
+    if (n_threads > n_units)
+        n_threads = n_units;
 
-    emulators_.reserve(n_emus);
-    for (const DragonheadParams& p : params_.emulators)
-        emulators_.push_back(std::make_unique<Dragonhead>(p));
     {
         // No worker exists yet, but the analysis (rightly) has no way
         // to know that; the uncontended lock documents and proves it.
         LockGuard lock(syncMutex_);
-        stats_.resize(n_emus);
+        stats_.resize(n_units);
         chunksDone_.resize(n_threads, 0);
         workerFailed_.resize(n_threads, 0);
         failedChunks_.resize(n_threads);
@@ -41,8 +45,8 @@ AsyncEmulatorBank::AsyncEmulatorBank(const EmulatorBankParams& params)
     workers_.reserve(n_threads);
     for (unsigned w = 0; w < n_threads; ++w)
         workers_.push_back(std::make_unique<Worker>(params_.queueChunks));
-    for (unsigned i = 0; i < n_emus; ++i)
-        workers_[i % n_threads]->emulators.push_back(i);
+    for (unsigned u = 0; u < n_units; ++u)
+        workers_[u % n_threads]->units.push_back(u);
 
     pending_.reserve(params_.chunkTxns);
 
@@ -137,13 +141,10 @@ AsyncEmulatorBank::emulateInline(unsigned w, const Chunk& chunk)
 {
     Worker& worker = *workers_[w];
     const std::vector<BusTransaction>& txns = *chunk;
-    for (unsigned idx : worker.emulators) {
-        Dragonhead& emu = *emulators_[idx];
-        for (const BusTransaction& txn : txns)
-            emu.observe(txn);
-    }
+    for (unsigned idx : worker.units)
+        units_[idx]->observeBatch(txns.data(), txns.size());
     LockGuard lock(syncMutex_);
-    for (unsigned idx : worker.emulators) {
+    for (unsigned idx : worker.units) {
         ++stats_[idx].batches;
         stats_[idx].txns += txns.size();
     }
@@ -175,7 +176,7 @@ AsyncEmulatorBank::takeOverWorker(unsigned w)
     }
     warn("emulation worker %u died (%s); degrading its %zu "
          "emulator(s) to serial emulation on the workload thread",
-         w, what.c_str(), worker.emulators.size());
+         w, what.c_str(), worker.units.size());
     if (failed) {
         // The worker died before touching this chunk, so re-running it
         // here keeps results bit-identical to serial snooping.
@@ -243,8 +244,8 @@ AsyncEmulatorBank::reset()
     sync();
     // Workers are parked in pop() after a sync, so emulator state is
     // exclusively ours here; the counters keep their lock discipline.
-    for (auto& emu : emulators_)
-        emu->reset();
+    for (auto& unit : units_)
+        unit->reset();
     {
         LockGuard lock(syncMutex_);
         for (auto& s : stats_)
@@ -254,18 +255,11 @@ AsyncEmulatorBank::reset()
         worker->queue.resetPeak();
 }
 
-Dragonhead&
-AsyncEmulatorBank::emulator(unsigned i)
-{
-    panic_if(i >= emulators_.size(), "emulator index %u out of range", i);
-    return *emulators_[i];
-}
-
-const Dragonhead&
+const LlcView&
 AsyncEmulatorBank::emulator(unsigned i) const
 {
-    panic_if(i >= emulators_.size(), "emulator index %u out of range", i);
-    return *emulators_[i];
+    panic_if(i >= views_.size(), "emulator index %u out of range", i);
+    return *views_[i];
 }
 
 EmulatorWorkerStats
@@ -274,16 +268,16 @@ AsyncEmulatorBank::emulatorStats(unsigned i) const
     // Returned by value under the lock: handing out a reference into
     // stats_ would escape the capability (exactly the pattern
     // -Wthread-safety exists to reject).
+    panic_if(i >= unitOf_.size(), "emulator index %u out of range", i);
     LockGuard lock(syncMutex_);
-    panic_if(i >= stats_.size(), "emulator index %u out of range", i);
-    return stats_[i];
+    return stats_[unitOf_[i]];
 }
 
 std::size_t
 AsyncEmulatorBank::queuePeak(unsigned i) const
 {
-    panic_if(i >= emulators_.size(), "emulator index %u out of range", i);
-    return workers_[i % workers_.size()]->queue.peakDepth();
+    panic_if(i >= unitOf_.size(), "emulator index %u out of range", i);
+    return workers_[unitOf_[i] % workers_.size()]->queue.peakDepth();
 }
 
 unsigned
@@ -319,15 +313,12 @@ AsyncEmulatorBank::workerLoop(unsigned w)
             COSIM_FAULT_POINT("emu.worker.crash");
             const std::vector<BusTransaction>& txns = *chunk;
             touched = true;
-            for (unsigned idx : worker.emulators) {
-                Dragonhead& emu = *emulators_[idx];
-                for (const BusTransaction& txn : txns)
-                    emu.observe(txn);
-            }
+            for (unsigned idx : worker.units)
+                units_[idx]->observeBatch(txns.data(), txns.size());
             const std::size_t n_txns = txns.size();
             {
                 LockGuard lock(syncMutex_);
-                for (unsigned idx : worker.emulators) {
+                for (unsigned idx : worker.units) {
                     ++stats_[idx].batches;
                     stats_[idx].txns += n_txns;
                 }

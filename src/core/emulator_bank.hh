@@ -8,14 +8,17 @@
  * one host thread that runs the workload. The AsyncEmulatorBank restores
  * the overlap: it attaches to the front-side bus as a single snooper,
  * accumulates transactions into fixed-size chunks, and ships each chunk
- * through a bounded SPSC queue to worker threads that own the Dragonhead
- * instances. Emulation is passive and the emulators share no state, so
- * every emulator still sees the complete transaction sequence in issue
- * order -- results are bit-identical to serial snooping (a test suite
- * enforces this), only the host wall-clock changes.
+ * through a bounded SPSC queue to worker threads that own the emulation
+ * units (makeLlcEmulators: one NestedLlc pass for a nesting size sweep,
+ * else a Dragonhead per configuration). Emulation is passive and the
+ * units share no state, so every unit still sees the complete
+ * transaction sequence in issue order -- results are bit-identical to
+ * serial snooping (a test suite enforces this), only the host
+ * wall-clock changes.
  *
- * With more emulators than workers, emulator i is pinned to worker
- * i % nThreads; a worker runs its emulators sequentially per chunk.
+ * With more units than workers, unit u is pinned to worker
+ * u % nThreads; a worker runs its units sequentially per chunk. A
+ * nesting sweep is one unit, so it gets one worker.
  * Backpressure: bounded queues block the producing (workload) thread when
  * a worker falls behind, capping buffered history.
  *
@@ -47,7 +50,7 @@
 #include "base/annotations.hh"
 #include "base/mutex.hh"
 #include "base/spsc_queue.hh"
-#include "dragonhead/dragonhead.hh"
+#include "dragonhead/nested_llc.hh"
 #include "mem/fsb.hh"
 #include "obs/progress.hh"
 
@@ -56,10 +59,10 @@ namespace cosim {
 /** Static configuration of the bank. */
 struct EmulatorBankParams
 {
-    /** One passive emulator per entry. */
+    /** One emulated configuration per entry. */
     std::vector<DragonheadParams> emulators;
 
-    /** Worker threads; 0 = one per emulator. */
+    /** Worker threads; 0 = one per emulation unit. */
     unsigned nThreads = 0;
 
     /** Transactions per delivery chunk. */
@@ -75,7 +78,7 @@ struct EmulatorBankParams
     bool degradeToSerial = false;
 };
 
-/** Per-emulator delivery counters (read after sync()). */
+/** Per-unit delivery counters (read after sync()). */
 struct EmulatorWorkerStats
 {
     std::uint64_t batches = 0; ///< chunks emulated
@@ -111,9 +114,10 @@ class AsyncEmulatorBank : public BusSnooper
     /** sync(), then return every emulator to power-on state. */
     void reset();
 
+    /** Configurations emulated (not units). */
     unsigned nEmulators() const
     {
-        return static_cast<unsigned>(emulators_.size());
+        return static_cast<unsigned>(views_.size());
     }
 
     unsigned nThreads() const
@@ -121,14 +125,15 @@ class AsyncEmulatorBank : public BusSnooper
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** Emulator access; call sync() first for settled results. */
-    Dragonhead& emulator(unsigned i);
-    const Dragonhead& emulator(unsigned i) const;
+    /** Results of configuration @p i; call sync() first. */
+    const LlcView& emulator(unsigned i) const;
 
-    /** Delivery counters of emulator @p i (settled after sync()). */
+    /** Delivery counters of the unit emulating configuration @p i
+     * (settled after sync()). */
     EmulatorWorkerStats emulatorStats(unsigned i) const;
 
-    /** Queue-depth high-water of the worker owning emulator @p i. */
+    /** Queue-depth high-water of the worker emulating configuration
+     * @p i. */
     std::size_t queuePeak(unsigned i) const;
 
     /** Workers that died (exception escaped the worker loop). */
@@ -161,7 +166,7 @@ class AsyncEmulatorBank : public BusSnooper
         explicit Worker(std::size_t queue_chunks) : queue(queue_chunks) {}
 
         SpscQueue<Chunk> queue;
-        std::vector<unsigned> emulators; ///< indices into emulators_
+        std::vector<unsigned> units; ///< indices into units_
         /** Chunks pushed; written and read by the producer thread only. */
         std::uint64_t chunksPushed = 0;
         std::thread thread;
@@ -170,7 +175,7 @@ class AsyncEmulatorBank : public BusSnooper
     void publishPending();
     void workerLoop(unsigned w);
 
-    /** Run @p chunk through worker @p w's emulators on this thread. */
+    /** Run @p chunk through worker @p w's units on this thread. */
     void emulateInline(unsigned w, const Chunk& chunk);
 
     /**
@@ -180,16 +185,19 @@ class AsyncEmulatorBank : public BusSnooper
      */
     void handleDeadWorker(unsigned w, const Chunk& chunk);
 
-    /** Degrade worker @p w: adopt its emulators onto this thread. */
+    /** Degrade worker @p w: adopt its units onto this thread. */
     void takeOverWorker(unsigned w);
 
     /** True once every live worker drained all chunks pushed to it. */
     bool drained() const REQUIRES(syncMutex_);
 
     EmulatorBankParams params_;
-    std::vector<std::unique_ptr<Dragonhead>> emulators_;
+    std::vector<std::unique_ptr<LlcEmulator>> units_;
+    /** views_[i], unitOf_[i]: configuration i's results and unit. */
+    std::vector<const LlcView*> views_;
+    std::vector<unsigned> unitOf_;
     std::vector<std::unique_ptr<Worker>> workers_;
-    /** Per-emulator delivery counters, written by the owning workers. */
+    /** Per-unit delivery counters, written by the owning workers. */
     std::vector<EmulatorWorkerStats> stats_ GUARDED_BY(syncMutex_);
     /** chunksDone_[w]: chunks fully emulated by worker w. (Lives here,
      * not in Worker, so the analysis can tie it to syncMutex_.) */

@@ -9,33 +9,11 @@
 
 #include "base/bitops.hh"
 #include "base/logging.hh"
+#include "dragonhead/tag_match.hh"
 
 namespace cosim {
 
 namespace {
-
-/** Bit w set iff way w's tag equals @p tag (valid or not). */
-inline unsigned
-matchTags(const std::uint32_t* tags, std::uint32_t tag)
-{
-#if defined(__SSE2__)
-    const __m128i key = _mm_set1_epi32(static_cast<int>(tag));
-    const __m128i* t = reinterpret_cast<const __m128i*>(tags);
-    const __m128i lo =
-        _mm_packs_epi32(_mm_cmpeq_epi32(_mm_load_si128(t), key),
-                        _mm_cmpeq_epi32(_mm_load_si128(t + 1), key));
-    const __m128i hi =
-        _mm_packs_epi32(_mm_cmpeq_epi32(_mm_load_si128(t + 2), key),
-                        _mm_cmpeq_epi32(_mm_load_si128(t + 3), key));
-    return static_cast<unsigned>(
-        _mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
-#else
-    unsigned m = 0;
-    for (unsigned w = 0; w < CacheController::maxWays; ++w)
-        m |= static_cast<unsigned>(tags[w] == tag) << w;
-    return m;
-#endif
-}
 
 /** Bit w set iff way w's age equals @p age. */
 inline unsigned
@@ -136,7 +114,7 @@ CacheController::handleDemand(Addr addr, bool write, CoreId core)
         ++stats_.reads;
 
     const unsigned hits =
-        matchTags(set.tags, static_cast<std::uint32_t>(tag)) & set.valid;
+        matchTags16(set.tags, static_cast<std::uint32_t>(tag)) & set.valid;
     const unsigned wbit = write ? 1u : 0u;
     if (hits != 0) {
         const unsigned way = static_cast<unsigned>(std::countr_zero(hits));

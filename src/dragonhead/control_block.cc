@@ -17,11 +17,10 @@ ControlBlock::ControlBlock(const ControlBlockParams& params)
 }
 
 void
-ControlBlock::attachControllers(const std::vector<CacheController*>& ccs)
+ControlBlock::attachCounters(CounterPoll poll)
 {
-    for (CacheController* cc : ccs)
-        panic_if(cc == nullptr, "null cache controller attached to CB");
-    ccs_ = ccs;
+    panic_if(!poll, "no slice counters attached to CB");
+    poll_ = std::move(poll);
 }
 
 void
@@ -42,10 +41,8 @@ ControlBlock::pollControllers(std::uint64_t& accesses,
 {
     accesses = 0;
     misses = 0;
-    for (const CacheController* cc : ccs_) {
-        accesses += cc->stats().accesses;
-        misses += cc->stats().misses;
-    }
+    if (poll_)
+        poll_(accesses, misses);
 }
 
 void

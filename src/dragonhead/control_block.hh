@@ -15,11 +15,11 @@
 #define COSIM_DRAGONHEAD_CONTROL_BLOCK_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "base/types.hh"
-#include "dragonhead/cache_controller.hh"
 #include "dragonhead/fsb_messages.hh"
 
 namespace cosim {
@@ -66,8 +66,12 @@ class ControlBlock
   public:
     explicit ControlBlock(const ControlBlockParams& params);
 
-    /** Tell the CB which controllers to poll for access/miss counts. */
-    void attachControllers(const std::vector<CacheController*>& ccs);
+    /** Reads the summed accesses and misses of the polled slices. */
+    using CounterPoll =
+        std::function<void(std::uint64_t& accesses, std::uint64_t& misses)>;
+
+    /** Tell the CB how to poll its slices' access/miss counts. */
+    void attachCounters(CounterPoll poll);
 
     /** Feed a consumed message (forwarded by the AF). */
     void onMessage(const msg::Message& m);
@@ -89,7 +93,7 @@ class ControlBlock
     void reset();
 
   private:
-    /** Sum of (accesses, misses) over all attached controllers. */
+    /** Sum of (accesses, misses) over the polled slices. */
     void pollControllers(std::uint64_t& accesses,
                          std::uint64_t& misses) const;
 
@@ -97,7 +101,7 @@ class ControlBlock
     void traceSample(const Sample& s) const;
 
     ControlBlockParams params_;
-    std::vector<CacheController*> ccs_;
+    CounterPoll poll_;
 
     InstCount totalInsts_ = 0;
     Cycles totalCycles_ = 0;

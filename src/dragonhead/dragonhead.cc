@@ -2,27 +2,8 @@
 
 #include "base/bitops.hh"
 #include "base/logging.hh"
-#include "base/str.hh"
-#include "base/units.hh"
 
 namespace cosim {
-
-namespace {
-
-/** CB trace label: distinct per configuration ("llc.32MB.64B"). */
-ControlBlockParams
-labeledCb(const DragonheadParams& params)
-{
-    ControlBlockParams cb = params.cb;
-    if (cb.traceLabel == "cb") {
-        cb.traceLabel = params.llc.name + "." +
-                        formatSize(params.llc.size) + "." +
-                        formatSize(params.llc.lineSize);
-    }
-    return cb;
-}
-
-} // namespace
 
 Dragonhead::Dragonhead(const DragonheadParams& params)
     : params_(params), cb_(labeledCb(params))
@@ -47,11 +28,13 @@ Dragonhead::Dragonhead(const DragonheadParams& params)
             i, slice, params_.maxCores));
     }
 
-    std::vector<CacheController*> raw;
-    raw.reserve(ccs_.size());
-    for (auto& cc : ccs_)
-        raw.push_back(cc.get());
-    cb_.attachControllers(raw);
+    cb_.attachCounters([this](std::uint64_t& accesses,
+                              std::uint64_t& misses) {
+        for (const auto& cc : ccs_) {
+            accesses += cc->stats().accesses;
+            misses += cc->stats().misses;
+        }
+    });
 
     lineBits_ = floorLog2(llc.lineSize);
     sliceBits_ = floorLog2(params_.nSlices);
@@ -99,31 +82,6 @@ Dragonhead::observeBatch(const BusTransaction* txns, std::size_t n)
     }
 }
 
-LlcResults
-Dragonhead::results() const
-{
-    LlcResults r;
-    for (const auto& cc : ccs_) {
-        r.accesses += cc->stats().accesses;
-        r.misses += cc->stats().misses;
-    }
-    r.insts = cb_.totalInsts();
-    r.cycles = cb_.totalCycles();
-    return r;
-}
-
-CoreCounters
-Dragonhead::coreResults(CoreId core) const
-{
-    CoreCounters out;
-    for (const auto& cc : ccs_) {
-        const CoreCounters& c = cc->coreCounters(core);
-        out.accesses += c.accesses;
-        out.misses += c.misses;
-    }
-    return out;
-}
-
 const CacheController&
 Dragonhead::slice(unsigned i) const
 {
@@ -131,27 +89,23 @@ Dragonhead::slice(unsigned i) const
     return *ccs_[i];
 }
 
-stats::Group&
-Dragonhead::registerStats(obs::StatsRegistry& registry,
-                          const std::string& prefix) const
+CacheStats
+Dragonhead::sliceStats(unsigned i) const
 {
-    stats::Group agg(prefix);
-    agg.add("accesses", [this] { return double(results().accesses); });
-    agg.add("misses", [this] { return double(results().misses); });
-    agg.add("insts", [this] { return double(cb_.totalInsts()); });
-    agg.add("cycles", [this] { return double(cb_.totalCycles()); });
-    agg.add("mpki", [this] { return results().mpki(); });
-    agg.add("miss_rate", [this] { return results().missRate(); });
-    agg.add("samples",
-            [this] { return double(cb_.samples().size()); });
-    stats::Group& stored = registry.add(std::move(agg));
+    return slice(i).stats();
+}
 
-    for (unsigned i = 0; i < nSlices(); ++i) {
-        stats::Group g(prefix + ".cc" + std::to_string(i));
-        ccs_[i]->addStats(g);
-        registry.add(std::move(g));
-    }
-    return stored;
+CoreCounters
+Dragonhead::sliceCoreCounters(unsigned i, CoreId core) const
+{
+    return slice(i).coreCounters(core);
+}
+
+const LlcView&
+Dragonhead::config(unsigned i) const
+{
+    panic_if(i != 0, "a board has one configuration, not %u", i + 1);
+    return *this;
 }
 
 void

@@ -11,6 +11,8 @@
  * cores do, so any number of Dragonhead instances with different cache
  * configurations can snoop the same bus simultaneously -- that is how the
  * benches evaluate a whole cache-size sweep in a single workload run.
+ * (A sweep whose capacities nest runs as one NestedLlc pass instead,
+ * with the same results; see dragonhead/nested_llc.hh.)
  */
 
 #ifndef COSIM_DRAGONHEAD_DRAGONHEAD_HH
@@ -20,72 +22,15 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.hh"
 #include "dragonhead/address_filter.hh"
 #include "dragonhead/cache_controller.hh"
 #include "dragonhead/control_block.hh"
-#include "mem/fsb.hh"
-#include "obs/stats_registry.hh"
+#include "dragonhead/llc_view.hh"
 
 namespace cosim {
 
-/** How the LLC capacity is divided among the CC slices. */
-enum class LlcPartitioning : std::uint8_t
-{
-    /** One shared LLC, line addresses interleaved across slices (the
-     * physical Dragonhead board). */
-    Interleaved,
-    /** Equal private per-core partitions: slice = core id. The FPGA
-     * could be programmed this way too; it answers the shared-vs-
-     * private LLC question of the related work (PHA$E, Liu et al.). */
-    PerCore,
-};
-
-/** Host-side configuration of the emulator. */
-struct DragonheadParams
-{
-    /** Geometry of the emulated LLC (total capacity, not per slice). */
-    CacheParams llc{"llc", 32 * 1024 * 1024, 64, 16, ReplPolicy::LRU};
-
-    /** Number of cache-controller slices (the physical board had 4).
-     * In PerCore mode this is the number of cores/partitions. */
-    unsigned nSlices = 4;
-
-    /** Capacity division policy. */
-    LlcPartitioning partitioning = LlcPartitioning::Interleaved;
-
-    /** Rows of per-core counters. */
-    unsigned maxCores = 64;
-
-    /** CB sampling configuration. */
-    ControlBlockParams cb;
-};
-
-/** Aggregated LLC results, the host-computer view. */
-struct LlcResults
-{
-    std::uint64_t accesses = 0;
-    std::uint64_t misses = 0;
-    InstCount insts = 0;
-    Cycles cycles = 0;
-
-    double mpki() const
-    {
-        return insts == 0 ? 0.0
-                          : 1000.0 * static_cast<double>(misses) /
-                                static_cast<double>(insts);
-    }
-
-    double missRate() const
-    {
-        return accesses == 0 ? 0.0
-                             : static_cast<double>(misses) /
-                                   static_cast<double>(accesses);
-    }
-};
-
 /** See file comment. */
-class Dragonhead : public BusSnooper
+class Dragonhead : public LlcEmulator, public LlcView
 {
   public:
     /** Transactions between a set-block prefetch and its use. */
@@ -106,34 +51,28 @@ class Dragonhead : public BusSnooper
      */
     void observeBatch(const BusTransaction* txns, std::size_t n) override;
 
-    /** Aggregated results over the whole emulation window. */
-    LlcResults results() const;
-
-    /** Per-core accesses/misses summed over slices. */
-    CoreCounters coreResults(CoreId core) const;
-
-    /** The 500 us sample series. */
-    const std::vector<Sample>& samples() const { return cb_.samples(); }
-
-    const DragonheadParams& params() const { return params_; }
+    const DragonheadParams& params() const override { return params_; }
     const AddressFilter& addressFilter() const { return af_; }
     const CacheController& slice(unsigned i) const;
-    unsigned nSlices() const
+    unsigned
+    nSlices() const override
     {
         return static_cast<unsigned>(ccs_.size());
     }
 
-    /** Return the board to power-on state. */
-    void reset();
+    /** LlcView: the slices' own counters. @{ */
+    CacheStats sliceStats(unsigned i) const override;
+    CoreCounters sliceCoreCounters(unsigned i, CoreId core) const override;
+    const ControlBlock& controlBlock() const override { return cb_; }
+    /** @} */
 
-    /**
-     * Register this emulator's stats into @p registry under
-     * "<prefix>" (aggregate) and "<prefix>.cc<i>" (per slice).
-     * @return the stored aggregate group, so callers can append stats
-     * of their own (the AsyncEmulatorBank adds delivery counters).
-     */
-    stats::Group& registerStats(obs::StatsRegistry& registry,
-                                const std::string& prefix) const;
+    /** LlcEmulator: a board emulates one configuration, itself. @{ */
+    unsigned nConfigs() const override { return 1; }
+    const LlcView& config(unsigned i) const override;
+    /** @} */
+
+    /** Return the board to power-on state. */
+    void reset() override;
 
   private:
     /** Where a demand access lands: a slice and its local address. */

@@ -121,7 +121,7 @@ fillWorkloadResult(CellOutput& cell, const std::string& name,
 
 /** Append one emulated configuration's final counters to @p cell. */
 void
-collectEmulator(const Dragonhead& dh, const std::string& wname,
+collectEmulator(const LlcView& dh, const std::string& wname,
                 unsigned n_cores, CellOutput& cell)
 {
     LlcResults llc = dh.results();
@@ -141,7 +141,7 @@ collectEmulator(const Dragonhead& dh, const std::string& wname,
 
 /** Keep the CB 500 us MPKI series of @p dh (the first configuration). */
 void
-collectSamples(const Dragonhead& dh, CellOutput& cell)
+collectSamples(const LlcView& dh, CellOutput& cell)
 {
     cell.cbSamples = dh.samples();
     for (const Sample& s : cell.cbSamples) {
@@ -1500,7 +1500,7 @@ sampledWorkloadCell(CoSimulation& rig, const WorkloadStream& ws,
     fillWorkloadResult(cell, name, result);
 
     for (unsigned e = 0; e < rig.nEmulators(); ++e) {
-        const Dragonhead& dh = rig.emulator(e);
+        const LlcView& dh = rig.emulator(e);
         const LlcResults totals = dh.results();
         const SampledEstimate est =
             estimateFromSamples(ws.plan, dh.samples());

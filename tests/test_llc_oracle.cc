@@ -8,7 +8,8 @@
  * The fast slice store must agree with the reference on every
  * CacheStats counter, every per-core row and every CB sample, for
  * random and adversarial streams, across associativities and both
- * partitionings.
+ * partitionings. So must the NestedLlc pass, against one reference
+ * board per capacity of a nested size sweep.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,9 @@
 #include "base/bitops.hh"
 #include "base/random.hh"
 #include "base/units.hh"
+#include "core/experiment.hh"
 #include "dragonhead/dragonhead.hh"
+#include "dragonhead/nested_llc.hh"
 #include "mem/address_space.hh"
 
 namespace cosim {
@@ -240,17 +243,17 @@ expectSameSamples(const std::vector<Sample>& a, const std::vector<Sample>& b)
 }
 
 void
-expectMatchesOracle(const Dragonhead& dh, const OracleBoard& ref)
+expectMatchesOracle(const LlcView& dh, const OracleBoard& ref)
 {
     const DragonheadParams& p = dh.params();
     for (unsigned s = 0; s < dh.nSlices(); ++s) {
         const std::string where = "slice " + std::to_string(s);
-        expectSameStats(dh.slice(s).stats(), ref.stats(s), where);
+        expectSameStats(dh.sliceStats(s), ref.stats(s), where);
         for (CoreId c = 0; c < p.maxCores; ++c) {
-            EXPECT_EQ(dh.slice(s).coreCounters(c).accesses,
+            EXPECT_EQ(dh.sliceCoreCounters(s, c).accesses,
                       ref.row(s, c).accesses)
                 << where << " core " << c;
-            EXPECT_EQ(dh.slice(s).coreCounters(c).misses,
+            EXPECT_EQ(dh.sliceCoreCounters(s, c).misses,
                       ref.row(s, c).misses)
                 << where << " core " << c;
         }
@@ -258,18 +261,18 @@ expectMatchesOracle(const Dragonhead& dh, const OracleBoard& ref)
     expectSameSamples(dh.samples(), ref.samples);
 }
 
-/** Identity of two boards fed the same stream by different paths. */
+/** Identity of two emulations fed the same stream by different paths. */
 void
-expectSameBoard(const Dragonhead& a, const Dragonhead& b)
+expectSameBoard(const LlcView& a, const LlcView& b)
 {
     for (unsigned s = 0; s < a.nSlices(); ++s) {
-        expectSameStats(a.slice(s).stats(), b.slice(s).stats(),
+        expectSameStats(a.sliceStats(s), b.sliceStats(s),
                         "slice " + std::to_string(s));
         for (CoreId c = 0; c < a.params().maxCores; ++c) {
-            EXPECT_EQ(a.slice(s).coreCounters(c).accesses,
-                      b.slice(s).coreCounters(c).accesses);
-            EXPECT_EQ(a.slice(s).coreCounters(c).misses,
-                      b.slice(s).coreCounters(c).misses);
+            EXPECT_EQ(a.sliceCoreCounters(s, c).accesses,
+                      b.sliceCoreCounters(s, c).accesses);
+            EXPECT_EQ(a.sliceCoreCounters(s, c).misses,
+                      b.sliceCoreCounters(s, c).misses);
         }
     }
     expectSameSamples(a.samples(), b.samples());
@@ -509,6 +512,289 @@ TEST(LlcOracle, ObserveBatchEqualsObserve)
         expectSameBoard(one, batched);
         EXPECT_EQ(one.results().misses, batched.results().misses);
     }
+}
+
+// ------------------------------------------------- the nested pass
+
+/** A seven-capacity sweep (8-512 KiB), the shape of fig4-6's. */
+std::vector<DragonheadParams>
+nestedSweep(std::uint32_t assoc)
+{
+    std::vector<DragonheadParams> out;
+    for (std::uint64_t size = 8 * KiB; size <= 512 * KiB; size *= 2)
+        out.push_back(board(assoc, LlcPartitioning::Interleaved, size));
+    // Out of size order: views follow the configuration order.
+    std::swap(out[1], out[5]);
+    return out;
+}
+
+/** A NestedLlc plus one reference board per capacity. */
+struct NestedRig
+{
+    explicit NestedRig(const std::vector<DragonheadParams>& configs)
+        : pass(configs)
+    {
+        for (const DragonheadParams& p : configs)
+            refs.emplace_back(p);
+    }
+
+    void
+    run(const std::vector<BusTransaction>& txns)
+    {
+        for (const BusTransaction& t : txns) {
+            pass.observe(t);
+            for (OracleBoard& r : refs)
+                r.observe(t);
+        }
+    }
+
+    void
+    reset()
+    {
+        pass.reset();
+        for (OracleBoard& r : refs)
+            r.reset();
+    }
+
+    void
+    expectMatches() const
+    {
+        ASSERT_EQ(pass.nConfigs(), refs.size());
+        for (unsigned i = 0; i < refs.size(); ++i) {
+            SCOPED_TRACE("capacity " +
+                         std::to_string(pass.config(i).params().llc.size));
+            expectMatchesOracle(pass.config(i), refs[i]);
+        }
+    }
+
+    /** Misses summed over the capacities. */
+    std::uint64_t
+    misses() const
+    {
+        std::uint64_t n = 0;
+        for (unsigned i = 0; i < pass.nConfigs(); ++i)
+            n += pass.config(i).results().misses;
+        return n;
+    }
+
+    NestedLlc pass;
+    std::vector<OracleBoard> refs;
+};
+
+/** Sweep @p span bytes line by line, @p rounds times (core 0). */
+std::vector<BusTransaction>
+streamingStream(std::uint64_t span, unsigned rounds, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<BusTransaction> out;
+    out.push_back(msg::encode(msg::Type::StartEmulation, 0));
+    for (unsigned r = 0; r < rounds; ++r) {
+        for (Addr a = 0; a < span; a += 64) {
+            out.push_back(demand(SimAllocator::workloadBase + a,
+                                 rng.nextBool(0.3)));
+            if (a % 4096 == 0) {
+                out.push_back(msg::encode(msg::Type::InstRetired, 200));
+                out.push_back(msg::encode(msg::Type::CyclesCompleted, 300));
+            }
+        }
+    }
+    out.push_back(msg::encode(msg::Type::StopEmulation, 0));
+    return out;
+}
+
+/**
+ * Hits at every capacity: a hot set that fits the smallest, warm sets
+ * that fit the middle ones, and a cold span that fits none, with core
+ * switches and CB traffic from randomStream's mix.
+ */
+std::vector<BusTransaction>
+mixedLevelStream(std::uint64_t seed, std::size_t n)
+{
+    Rng rng(seed);
+    std::vector<BusTransaction> out =
+        randomStream(seed, n / 4, 2 * MiB, 0.3);
+    out.pop_back(); // keep the window open
+    const std::uint64_t spans[] = {6 * KiB, 24 * KiB, 96 * KiB,
+                                   384 * KiB, 4 * MiB};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t r = rng.nextBounded(100);
+        const std::uint64_t span = r < 40   ? spans[0]
+                                   : r < 60 ? spans[1]
+                                   : r < 75 ? spans[2]
+                                   : r < 90 ? spans[3]
+                                            : spans[4];
+        if (r == 99) {
+            out.push_back(
+                msg::encode(msg::Type::SetCoreId, rng.nextBounded(7)));
+            out.push_back(msg::encode(msg::Type::CyclesCompleted, 700));
+        }
+        out.push_back(demand(SimAllocator::workloadBase +
+                                 rng.nextBounded(span),
+                             rng.nextBool(0.35)));
+    }
+    out.push_back(msg::encode(msg::Type::StopEmulation, 0));
+    return out;
+}
+
+TEST(NestedLlcOracle, RandomStreamsMatchSevenBoards)
+{
+    for (std::uint32_t assoc : {1u, 4u, 16u}) {
+        SCOPED_TRACE("assoc " + std::to_string(assoc));
+        NestedRig rig(nestedSweep(assoc));
+        rig.run(randomStream(3 * assoc, 60000, 768 * KiB, 0.25));
+        rig.expectMatches();
+        EXPECT_GT(rig.misses(), 0u);
+    }
+}
+
+TEST(NestedLlcOracle, ThrashMissesEverywhere)
+{
+    for (std::uint32_t assoc : {2u, 16u}) {
+        SCOPED_TRACE("assoc " + std::to_string(assoc));
+        const std::vector<DragonheadParams> configs = nestedSweep(assoc);
+        NestedRig rig(configs);
+        // A stride of the largest capacity collides at every capacity.
+        DragonheadParams largest = configs.front();
+        for (const DragonheadParams& p : configs)
+            largest = p.llc.size > largest.llc.size ? p : largest;
+        rig.run(thrashStream(largest, 300));
+        rig.expectMatches();
+        for (unsigned i = 0; i < rig.pass.nConfigs(); ++i) {
+            const LlcResults r = rig.pass.config(i).results();
+            EXPECT_EQ(r.misses, r.accesses);
+        }
+    }
+}
+
+TEST(NestedLlcOracle, WriteHeavyDirtyEvictions)
+{
+    for (std::uint32_t assoc : {4u, 16u}) {
+        SCOPED_TRACE("assoc " + std::to_string(assoc));
+        NestedRig rig(nestedSweep(assoc));
+        rig.run(randomStream(41 + assoc, 60000, 1 * MiB, 0.9));
+        rig.expectMatches();
+        std::uint64_t writebacks = 0;
+        for (unsigned i = 0; i < rig.pass.nConfigs(); ++i)
+            for (unsigned s = 0; s < 4; ++s)
+                writebacks += rig.pass.config(i).sliceStats(s).writebacks;
+        EXPECT_GT(writebacks, 0u);
+    }
+}
+
+TEST(NestedLlcOracle, StreamingMissesAtEverySize)
+{
+    // A 1 MiB sweep misses at every capacity up to 512 KiB, every round.
+    NestedRig rig(nestedSweep(16));
+    rig.run(streamingStream(1 * MiB, 4, 9));
+    rig.expectMatches();
+    for (unsigned i = 0; i < rig.pass.nConfigs(); ++i) {
+        const LlcResults r = rig.pass.config(i).results();
+        EXPECT_EQ(r.misses, r.accesses);
+    }
+}
+
+TEST(NestedLlcOracle, MixedHitLevels)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        NestedRig rig(nestedSweep(16));
+        rig.run(mixedLevelStream(seed, 150000));
+        rig.expectMatches();
+        // Every capacity misses less than the one below it.
+        std::vector<std::uint64_t> by_size;
+        for (const OracleBoard& ref : rig.refs) {
+            std::uint64_t m = 0;
+            for (unsigned s = 0; s < 4; ++s)
+                m += ref.stats(s).misses;
+            by_size.push_back(m);
+        }
+        EXPECT_GT(by_size[0], by_size[1]); // 8 KiB vs 256 KiB (swapped)
+    }
+}
+
+TEST(NestedLlcOracle, ResetMidStreamStartsCold)
+{
+    NestedRig rig(nestedSweep(8));
+    rig.run(mixedLevelStream(5, 40000));
+    rig.reset();
+    rig.run(mixedLevelStream(5, 40000));
+    rig.expectMatches();
+}
+
+TEST(NestedLlcOracle, RenumberingStampsKeepsResults)
+{
+    NestedRig rig(nestedSweep(16));
+    const std::vector<BusTransaction> txns = mixedLevelStream(11, 120000);
+    const std::size_t step = txns.size() / 5;
+    for (std::size_t i = 0; i < txns.size(); i += step) {
+        const std::size_t end = std::min(txns.size(), i + step);
+        rig.run({txns.begin() + static_cast<std::ptrdiff_t>(i),
+                 txns.begin() + static_cast<std::ptrdiff_t>(end)});
+        rig.pass.renumberStamps();
+    }
+    rig.expectMatches();
+}
+
+TEST(NestedLlcOracle, ObserveBatchEqualsObserve)
+{
+    const std::vector<DragonheadParams> configs = nestedSweep(16);
+    NestedLlc one(configs);
+    NestedLlc batched(configs);
+    const std::vector<BusTransaction> txns = mixedLevelStream(23, 100000);
+    for (const BusTransaction& t : txns)
+        one.observe(t);
+    Rng rng(29);
+    std::size_t i = 0;
+    while (i < txns.size()) {
+        const std::size_t n =
+            std::min<std::size_t>(rng.nextBounded(5000), txns.size() - i);
+        batched.observeBatch(txns.data() + i, n);
+        i += n;
+    }
+    for (unsigned c = 0; c < configs.size(); ++c)
+        expectSameBoard(one.config(c), batched.config(c));
+}
+
+TEST(NestedLlcSelection, OnlyNestingSetsGetThePass)
+{
+    EXPECT_TRUE(NestedLlc::nests(presets::llcSizeSweepEmulators()));
+    EXPECT_TRUE(NestedLlc::nests(nestedSweep(4)));
+    // fig7's line sizes do not nest.
+    EXPECT_FALSE(NestedLlc::nests(presets::lineSizeSweepEmulators()));
+    // A lone configuration, and duplicate capacities.
+    EXPECT_FALSE(NestedLlc::nests({nestedSweep(4).front()}));
+    EXPECT_FALSE(
+        NestedLlc::nests({nestedSweep(4).front(), nestedSweep(4).front()}));
+
+    auto changed = [](auto edit) {
+        std::vector<DragonheadParams> configs = nestedSweep(4);
+        edit(configs.back());
+        return NestedLlc::nests(configs);
+    };
+    EXPECT_FALSE(changed([](DragonheadParams& p) {
+        p.partitioning = LlcPartitioning::PerCore;
+    }));
+    EXPECT_FALSE(changed([](DragonheadParams& p) { p.llc.assoc = 8; }));
+    EXPECT_FALSE(changed([](DragonheadParams& p) { p.nSlices = 2; }));
+    EXPECT_FALSE(changed([](DragonheadParams& p) { p.maxCores = 8; }));
+    EXPECT_FALSE(
+        changed([](DragonheadParams& p) { p.cb.samplePeriodUs = 2; }));
+    EXPECT_FALSE(
+        changed([](DragonheadParams& p) { p.llc.repl = ReplPolicy::FIFO; }));
+
+    // makeLlcEmulators: one pass for fig4-6, a board per fig7 config.
+    auto sizes = makeLlcEmulators(presets::llcSizeSweepEmulators());
+    ASSERT_EQ(sizes.size(), 1u);
+    EXPECT_NE(dynamic_cast<NestedLlc*>(sizes[0].get()), nullptr);
+    EXPECT_EQ(sizes[0]->nConfigs(), 7u);
+    auto lines = makeLlcEmulators(presets::lineSizeSweepEmulators());
+    ASSERT_EQ(lines.size(), 7u);
+    for (const auto& unit : lines)
+        EXPECT_NE(dynamic_cast<Dragonhead*>(unit.get()), nullptr);
+    std::vector<DragonheadParams> per_core = nestedSweep(4);
+    for (DragonheadParams& p : per_core)
+        p.partitioning = LlcPartitioning::PerCore;
+    EXPECT_EQ(makeLlcEmulators(per_core).size(), per_core.size());
 }
 
 TEST(LlcOracleDeathTest, TagWiderThan32BitsPanics)

@@ -7,8 +7,9 @@
  * chunked bus preserves issue order, so every counter, MPKI value, and
  * ControlBlock 500 us sample window must be bit-identical to serial
  * inline snooping. These tests enforce that across 2 workloads x 3
- * emulator configs x several thread counts, plus the batched-FSB
- * delivery semantics and the parallel sweep harness.
+ * emulator configs x several thread counts -- once as a nesting size
+ * sweep (one NestedLlc unit) and once as three boards -- plus the
+ * batched-FSB delivery semantics and the parallel sweep harness.
  */
 
 #include <gtest/gtest.h>
@@ -45,20 +46,27 @@ smallCmp(unsigned cores)
 }
 
 DragonheadParams
-llc(std::uint64_t size)
+llc(std::uint64_t size, std::uint32_t line = 64)
 {
     DragonheadParams dh;
-    dh.llc = {"llc", size, 64, 4, ReplPolicy::LRU};
+    dh.llc = {"llc", size, line, 4, ReplPolicy::LRU};
     dh.nSlices = 4;
     dh.maxCores = 8;
     return dh;
 }
 
-/** The 3-config sweep every determinism case emulates. */
+/** A 3-config size sweep: the capacities nest, so one pass runs it. */
 std::vector<DragonheadParams>
 sweepConfigs()
 {
     return {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB)};
+}
+
+/** A 3-config line-size sweep: no nesting, so three boards run it. */
+std::vector<DragonheadParams>
+boardConfigs()
+{
+    return {llc(64 * KiB, 64), llc(64 * KiB, 128), llc(64 * KiB, 256)};
 }
 
 /**
@@ -78,7 +86,7 @@ fingerprintOf(const CoSimulation& cosim, unsigned n_cores)
 {
     Fingerprint fp;
     for (unsigned e = 0; e < cosim.nEmulators(); ++e) {
-        const Dragonhead& dh = cosim.emulator(e);
+        const LlcView& dh = cosim.emulator(e);
         LlcResults r = dh.results();
         fp.counters.push_back(r.accesses);
         fp.counters.push_back(r.misses);
@@ -102,12 +110,13 @@ fingerprintOf(const CoSimulation& cosim, unsigned n_cores)
 
 /** Run one workload with the given emulation mode and fingerprint it. */
 Fingerprint
-runOnce(unsigned emu_threads, std::size_t chunk_txns, bool shared_array)
+runOnce(unsigned emu_threads, std::size_t chunk_txns, bool shared_array,
+        const std::vector<DragonheadParams>& configs = sweepConfigs())
 {
     const unsigned cores = 4;
     CoSimParams params;
     params.platform = smallCmp(cores);
-    params.emulators = sweepConfigs();
+    params.emulators = configs;
     params.emulationThreads = emu_threads;
     params.fsbBatchTxns = chunk_txns;
     CoSimulation cosim(params);
@@ -118,22 +127,27 @@ runOnce(unsigned emu_threads, std::size_t chunk_txns, bool shared_array)
     RunResult r = cosim.run(wl, cfg);
     EXPECT_TRUE(r.verified);
     EXPECT_EQ(cosim.nEmulators(), 3u);
+    // A worker per emulation unit at most: one for a nesting sweep.
+    const unsigned units = NestedLlc::nests(configs) ? 1u : 3u;
     EXPECT_EQ(cosim.emulationThreads(),
-              emu_threads == 0 ? 0u : std::min(emu_threads, 3u));
+              emu_threads == 0 ? 0u : std::min(emu_threads, units));
     return fingerprintOf(cosim, cores);
 }
 
 TEST(ParallelEmulation, BitIdenticalToSerialAcrossThreadCounts)
 {
-    for (bool shared : {false, true}) {
-        Fingerprint serial = runOnce(0, 0, shared);
-        ASSERT_FALSE(serial.counters.empty());
-        ASSERT_FALSE(serial.samples.empty());
-        for (unsigned threads : {1u, 2u, 4u}) {
-            // Small chunks force many batches through the queues.
-            Fingerprint parallel = runOnce(threads, 256, shared);
-            EXPECT_EQ(parallel, serial)
-                << "threads=" << threads << " shared=" << shared;
+    for (const auto& configs : {sweepConfigs(), boardConfigs()}) {
+        for (bool shared : {false, true}) {
+            Fingerprint serial = runOnce(0, 0, shared, configs);
+            ASSERT_FALSE(serial.counters.empty());
+            ASSERT_FALSE(serial.samples.empty());
+            for (unsigned threads : {1u, 2u, 4u}) {
+                // Small chunks force many batches through the queues.
+                Fingerprint parallel =
+                    runOnce(threads, 256, shared, configs);
+                EXPECT_EQ(parallel, serial)
+                    << "threads=" << threads << " shared=" << shared;
+            }
         }
     }
 }
@@ -151,16 +165,18 @@ TEST(ParallelEmulation, SerialBatchedDeliveryIsIdenticalToImmediate)
 
 TEST(ParallelEmulation, ChunkSizeDoesNotChangeResults)
 {
-    Fingerprint base = runOnce(2, 128, false);
-    EXPECT_EQ(runOnce(2, 1, false), base);
-    EXPECT_EQ(runOnce(2, 1024, false), base);
+    for (const auto& configs : {sweepConfigs(), boardConfigs()}) {
+        Fingerprint base = runOnce(2, 128, false, configs);
+        EXPECT_EQ(runOnce(2, 1, false, configs), base);
+        EXPECT_EQ(runOnce(2, 1024, false, configs), base);
+    }
 }
 
 TEST(ParallelEmulation, BankReportsDeliveryStats)
 {
     CoSimParams params;
     params.platform = smallCmp(2);
-    params.emulators = sweepConfigs();
+    params.emulators = boardConfigs();
     params.emulationThreads = 2;
     params.fsbBatchTxns = 128;
     CoSimulation cosim(params);
@@ -194,7 +210,7 @@ TEST(ParallelEmulation, RegistersWorkerStatsInRegistry)
     obs::StatsRegistry registry;
     CoSimParams params;
     params.platform = smallCmp(2);
-    params.emulators = {llc(8 * KiB), llc(64 * KiB)};
+    params.emulators = {llc(8 * KiB), llc(8 * KiB, 128)};
     params.emulationThreads = 2;
     params.fsbBatchTxns = 64;
     CoSimulation cosim(params);

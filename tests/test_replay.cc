@@ -80,7 +80,7 @@ fingerprintOf(const CoSimulation& cosim, unsigned n_cores)
 {
     Fingerprint fp;
     for (unsigned e = 0; e < cosim.nEmulators(); ++e) {
-        const Dragonhead& dh = cosim.emulator(e);
+        const LlcView& dh = cosim.emulator(e);
         LlcResults r = dh.results();
         fp.counters.push_back(r.accesses);
         fp.counters.push_back(r.misses);
