@@ -76,9 +76,6 @@ class CacheController
     const CoreCounters& coreCounters(CoreId core) const;
     const CacheStats& stats() const { return stats_; }
 
-    /** Register this slice's cache counters into @p group. */
-    void addStats(stats::Group& group) const { stats_.addStats(group); }
-
     /** Invalidate every line and zero all counters. */
     void reset();
 
